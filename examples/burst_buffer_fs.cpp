@@ -13,7 +13,7 @@
 
 #include "src/client/client.h"
 #include "src/cluster/cluster.h"
-#include "src/net/thread_fabric.h"
+#include "src/net/tcp_fabric.h"
 
 using namespace bespokv;
 
@@ -61,7 +61,7 @@ int main() {
   opts.partitioner = "range";
   opts.range_splits = {"meta\x1f/ckpt", "meta\x1f/output"};
 
-  ThreadFabric fabric;
+  TcpFabric fabric;
   Cluster cluster(fabric, opts);
   cluster.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));

@@ -14,7 +14,7 @@
 
 #include "src/client/client.h"
 #include "src/cluster/cluster.h"
-#include "src/net/thread_fabric.h"
+#include "src/net/tcp_fabric.h"
 
 using namespace bespokv;
 
@@ -54,7 +54,7 @@ int main() {
   opts.num_replicas = 2;
   opts.datalet_kind = "tHT";
 
-  ThreadFabric fabric;
+  TcpFabric fabric;
   Cluster cluster(fabric, opts);
   cluster.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));

@@ -14,7 +14,7 @@
 
 #include "src/client/client.h"
 #include "src/cluster/cluster.h"
-#include "src/net/thread_fabric.h"
+#include "src/net/tcp_fabric.h"
 
 using namespace bespokv;
 
@@ -44,7 +44,7 @@ int main() {
   opts.datalet_cfg.dir = log_dir;
   opts.datalet_cfg.sync_every = 64;
 
-  ThreadFabric fabric;
+  TcpFabric fabric;
   Cluster cluster(fabric, opts);
   cluster.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));

@@ -13,7 +13,7 @@
 
 #include "src/client/client.h"
 #include "src/cluster/cluster.h"
-#include "src/net/thread_fabric.h"
+#include "src/net/tcp_fabric.h"
 
 using namespace bespokv;
 
@@ -24,7 +24,7 @@ int main() {
   opts.num_shards = 2;
   opts.num_replicas = 3;
 
-  ThreadFabric fabric;
+  TcpFabric fabric;
   Cluster cluster(fabric, opts);
   cluster.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));

@@ -1,8 +1,8 @@
 // Quickstart: "drop a datalet in, get a distributed KV store out".
 //
 // Builds a 2-shard, 3-replica Master-Slave/Eventual-Consistency deployment
-// of the stock tHT datalet on the real-thread fabric, then uses the client
-// library for tables, puts, gets, dels and a per-request strong read.
+// of the stock tHT datalet over loopback TCP, then uses the client library
+// for tables, puts, gets, dels and a per-request strong read.
 //
 //   $ ./quickstart
 #include <cstdio>
@@ -10,7 +10,7 @@
 
 #include "src/client/client.h"
 #include "src/cluster/cluster.h"
-#include "src/net/thread_fabric.h"
+#include "src/net/tcp_fabric.h"
 
 using namespace bespokv;
 
@@ -25,8 +25,8 @@ int main() {
   opts.datalet_kind = "tHT";  // the single-server store being "dropped in"
 
   // 2. Assemble it: coordinator, DLM, shared log, and 6 controlet+datalet
-  //    pairs, each node on its own thread.
-  ThreadFabric fabric;
+  //    pairs, each node with its own loopback port and event-loop thread.
+  TcpFabric fabric;
   Cluster cluster(fabric, opts);
   cluster.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));

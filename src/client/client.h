@@ -170,7 +170,7 @@ class SyncKv {
  public:
   using CallFn = std::function<Result<Message>(const Addr&, Message)>;
 
-  // `call` is typically ThreadFabric/TcpFabric::call_sync bound to the fabric.
+  // `call` is typically TcpFabric::call_sync bound to the fabric.
   SyncKv(CallFn call, Addr coordinator);
 
   Status refresh();

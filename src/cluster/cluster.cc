@@ -45,12 +45,10 @@ Result<ClusterOptions> ClusterOptions::from_json(const Json& j) {
 Cluster::Cluster(Fabric& fabric, ClusterOptions opts)
     : fabric_(fabric),
       sim_(dynamic_cast<SimFabric*>(&fabric)),
-      opts_(std::move(opts)) {
-  tcp_mode_ = dynamic_cast<TcpFabric*>(&fabric) != nullptr;
-}
+      opts_(std::move(opts)) {}
 
 Addr Cluster::make_addr(const std::string& logical) {
-  if (!tcp_mode_) return opts_.name + "/" + logical;
+  if (sim_ != nullptr) return opts_.name + "/" + logical;
   auto it = addr_map_.find(logical);
   if (it != addr_map_.end()) return it->second;
   const Addr a = "127.0.0.1:" + std::to_string(TcpFabric::pick_port());
@@ -76,7 +74,7 @@ std::shared_ptr<Datalet> Cluster::new_datalet(int replica_index,
     engine = make_datalet("tHT", cfg);
   }
   if (sim_ == nullptr) {
-    // Real-thread fabrics: transitions share engines across node threads.
+    // TCP: transitions share engines across node threads.
     return std::make_shared<LockedDatalet>(std::move(engine));
   }
   return std::shared_ptr<Datalet>(std::move(engine));
@@ -271,8 +269,10 @@ void Cluster::start_transition(Topology topology, Consistency consistency,
       if (engine == nullptr) continue;
 
       Pair np;
-      np.addr = rep.controlet + suffix;
-      if (tcp_mode_) np.addr = make_addr("t" + std::to_string(transition_round_) + "-" + rep.controlet);
+      np.addr = sim_ != nullptr
+                    ? rep.controlet + suffix
+                    : make_addr("t" + std::to_string(transition_round_) + "-" +
+                                rep.controlet);
       np.datalet = engine;
       ControletConfig cfg = opts_.controlet;
       cfg.coordinator = coord_addr_;

@@ -1,4 +1,4 @@
-// ClusterHarness: assembles a complete bespoKV deployment on any fabric —
+// ClusterHarness: assembles a complete bespoKV deployment on either fabric —
 // coordinator, DLM, shared log, N shards x R controlet+datalet pairs,
 // optional standby pairs for failover — and drives live topology/consistency
 // transitions (§V) by spawning successor controlets bound to the existing
@@ -110,7 +110,7 @@ class Cluster {
   Runtime* add_server_node(const Addr& addr, std::shared_ptr<Service> svc);
 
   Fabric& fabric_;
-  SimFabric* sim_;  // non-null when fabric_ is a SimFabric
+  SimFabric* sim_;  // non-null when fabric_ is a SimFabric, else TcpFabric
   ClusterOptions opts_;
   bool started_ = false;
   int transition_round_ = 0;
@@ -121,9 +121,8 @@ class Cluster {
   std::vector<std::vector<Pair>> pairs_;          // [shard][replica]
   std::vector<Pair> standbys_;
   std::vector<std::vector<Pair>> generations_;    // transition successors
-  // TCP fabrics need real ports; logical->actual address mapping.
+  // TCP needs real ports; logical->actual address mapping.
   std::map<std::string, Addr> addr_map_;
-  bool tcp_mode_ = false;
 };
 
 }  // namespace bespokv

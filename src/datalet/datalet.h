@@ -133,7 +133,7 @@ struct DataletConfig {
   std::string fsync = "always";  // always | groupcommit | os
   uint64_t group_interval_us = 100;
   uint32_t group_batch = 8;
-  // True on thread/TCP fabrics: mutations block in group commit. Sim event
+  // True on TcpFabric: mutations block in group commit. Sim event
   // loops must stay non-blocking (policy approximated by batch counting).
   bool durable_blocking = false;
   // Negative-gate knob: drop all WAL writes, making crash_restart provably
@@ -142,7 +142,7 @@ struct DataletConfig {
   uint64_t checkpoint_bytes = 4 << 20;  // auto-checkpoint threshold, 0 = manual
   bool torn_writes = true;  // MemEnv power loss tears/garbages unsynced tails
   uint64_t crash_seed = 1;
-  // tLSM: merge on a background thread (real-thread fabrics only; the
+  // tLSM: merge on a background thread (TcpFabric only; the
   // deterministic sim keeps compaction inline).
   bool lsm_background_compaction = false;
 

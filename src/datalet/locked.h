@@ -1,7 +1,7 @@
 // LockedDatalet: mutex-guarded decorator. Nodes are single-threaded, so an
 // engine owned by one node needs no locking; during §V transitions, however,
 // the old and the new controlet — two nodes — share one datalet. On the
-// thread/TCP fabrics that is a genuine cross-thread share, so the harness
+// TCP fabric that is a genuine cross-thread share, so the harness
 // wraps engines with this decorator. (The DES fabric is single-threaded and
 // skips it.)
 #pragma once

@@ -17,7 +17,7 @@
 //    runs — orphans from crashed flushes/compactions are swept on recovery.
 //    crash_restart() models power loss and rebuilds from MANIFEST + SSTables
 //    + WAL replay. With cfg.lsm_background_compaction, merges move to a
-//    dedicated compaction thread (real-thread fabrics only; the
+//    dedicated compaction thread (TcpFabric only; the
 //    deterministic sim keeps them inline).
 //
 // This engine realizes the paper's Fig. 6 trade-off: high write throughput

@@ -35,8 +35,8 @@ class ShardedDataletService : public Service {
   int shard_of(const Message& req) const override;
   void handle_shard(int shard, const Addr& from, Message req,
                     Replier reply) override;
-  // Single-threaded fallback (ThreadFabric, direct use): routes by key hash
-  // so keyspace placement matches the sharded fabrics.
+  // Single-threaded fallback for direct use: routes by key hash so keyspace
+  // placement matches the sharded fabrics.
   void handle(const Addr& from, Message req, Replier reply) override;
 
   Datalet* shard_engine(int shard) { return shards_[size_t(shard)].engine.get(); }

@@ -1,4 +1,4 @@
-// Fault injection shared by all three fabrics (sim / thread / TCP).
+// Fault injection shared by both fabrics (sim / TCP).
 //
 // A FaultPlan is a seeded, JSON-serializable chaos schedule: per-link
 // drop/delay/duplicate/reorder rules, node crash/restart events, and
@@ -6,11 +6,11 @@
 // same plan file drives identical fault decisions on every fabric — the
 // injector consumes its own deterministic RNG stream, so a failing nightly
 // run can be replayed locally from the uploaded plan (deterministically on
-// SimFabric; statistically on the real-time fabrics).
+// SimFabric; statistically on TcpFabric).
 //
 // Wiring: Fabric::set_fault_injector installs an injector that each fabric
 // consults at its single send choke point (SimFabric::transmit,
-// ThreadFabric's mailbox delivery, TcpFabric::Node::ship). Node events are
+// TcpFabric::Reactor::ship and the reply path). Node events are
 // driven by schedule_node_faults() from any runtime whose node outlives the
 // plan (the cluster admin node in practice).
 #pragma once
@@ -81,7 +81,7 @@ struct CrashAllFault {
 // still arrive, or vice versa). Patterns match like LinkFault src/dst: "*",
 // trailing-star prefix, or exact address. Compiled onto the same per-link
 // injector choke point as link rules, so partitions behave identically on
-// sim/thread/TCP fabrics.
+// the sim and TCP fabrics.
 struct PartitionFault {
   std::vector<std::string> a;
   std::vector<std::string> b;
@@ -139,7 +139,7 @@ struct FaultDecision {
   uint64_t delay_us = 0;
 };
 
-// Thread-safe (the TCP/thread fabrics consult it from multiple node threads)
+// Thread-safe (TcpFabric consults it from multiple reactor threads)
 // and deterministic given the same plan and the same decision sequence.
 class FaultInjector {
  public:

@@ -1,16 +1,16 @@
 // Runtime / Service / Fabric: the asynchronous event-driven programming
 // substrate every bespoKV component is written against (§III-B "controlet
 // programming abstraction"). The same controlet, coordinator, DLM, shared-log
-// and datalet code runs unchanged on three fabrics:
+// and datalet code runs unchanged on two fabrics:
 //
-//   * SimFabric    — single-threaded discrete-event simulation with a virtual
-//                    clock, per-node service-time queueing, link latency and
-//                    failure injection. Used by the scale-out benchmarks
-//                    (substitute for the paper's 48-node GCE cluster).
-//   * ThreadFabric — one OS thread + mailbox per node, real time. Used by
-//                    integration tests and the examples.
-//   * TcpFabric    — epoll-based framed TCP on loopback, real sockets. Used
-//                    to exercise the genuine networking path.
+//   * SimFabric — single-threaded discrete-event simulation with a virtual
+//                 clock, per-node service-time queueing, link latency and
+//                 failure injection. Used by the scale-out benchmarks
+//                 (substitute for the paper's 48-node GCE cluster) and the
+//                 verify harness.
+//   * TcpFabric — epoll-based framed TCP on loopback, real sockets and real
+//                 time. Used by the examples, the real-time tests, chaos
+//                 runs and every wall-clock benchmark.
 //
 // Execution model: every node is single-threaded; all handlers, timers and
 // RPC callbacks for a node run serialized on that node's runtime, so node
@@ -167,7 +167,7 @@ class Fabric {
   // again, so services must treat a second start() as a crash-recovery
   // (ControletBase re-syncs before serving). Returns false if the node is
   // unknown, still alive, or the fabric cannot bring it back.
-  virtual bool restart(const Addr& addr) { return false; }
+  virtual bool restart(const Addr& /*addr*/) { return false; }
 
   // Cuts/restores bidirectional connectivity between two nodes.
   virtual void partition(const Addr& a, const Addr& b, bool cut) = 0;

@@ -1009,6 +1009,12 @@ Runtime* TcpFabric::add_node(const Addr& addr, std::shared_ptr<Service> svc) {
 Runtime* TcpFabric::add_node_with_reactors(const Addr& addr,
                                            std::shared_ptr<Service> svc,
                                            int reactors) {
+  // SO_REUSEPORT would let a second node bind a live node's port and steal
+  // its connections, so a registered address is refused up front.
+  if (find(addr) != nullptr) {
+    LOG_ERROR << "TcpFabric: address " << addr << " is already registered";
+    return nullptr;
+  }
   auto node = std::make_shared<Node>();
   node->fab = this;
   node->addr = addr;
@@ -1040,7 +1046,8 @@ Runtime* TcpFabric::add_node_with_reactors(const Addr& addr,
   }
   {
     std::lock_guard<std::mutex> g(mu_);
-    nodes_[addr] = node;
+    // A concurrent add_node of the same address won the race: keep it.
+    if (!nodes_.emplace(addr, node).second) return nullptr;
   }
   // start() runs before any reactor thread exists, so services may install
   // timers and resolve metric handles without synchronization.
@@ -1164,20 +1171,29 @@ Result<Message> TcpFabric::call_sync(const Addr& dst, Message req,
 }
 
 int TcpFabric::pick_port() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  sa.sin_port = 0;
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
+  // The port is free when drawn but bound only later, so the kernel may hand
+  // it out again in between; remembering every port this process drew keeps
+  // two nodes off the same address.
+  static std::mutex mu;
+  static std::set<int> drawn;
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in sa{};
+    sa.sin_family = AF_INET;
+    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    sa.sin_port = 0;
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
+      ::close(fd);
+      return 0;
+    }
+    socklen_t len = sizeof(sa);
+    getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len);
+    const int port = ntohs(sa.sin_port);
     ::close(fd);
-    return 0;
+    std::lock_guard<std::mutex> g(mu);
+    if (drawn.insert(port).second) return port;
   }
-  socklen_t len = sizeof(sa);
-  getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len);
-  const int port = ntohs(sa.sin_port);
-  ::close(fd);
-  return port;
+  return 0;
 }
 
 }  // namespace bespokv

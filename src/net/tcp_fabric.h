@@ -5,8 +5,9 @@
 // shards incoming connections across the reactors, and a connection is owned
 // by exactly one reactor for its whole life. This backend exercises the
 // genuine networking path — framing, partial reads/writes, connection reuse,
-// peer-death detection, multi-core accept sharding — that SimFabric and
-// ThreadFabric abstract away.
+// peer-death detection, multi-core accept sharding — that SimFabric
+// abstracts away. It is the only real-time fabric: examples, real-time tests,
+// chaos runs and benches all use it on loopback.
 //
 // Execution model with reactors > 1:
 //   * A Service with shards() == 1 (the default) keeps the paper's fully
@@ -72,6 +73,9 @@ class TcpFabric : public Fabric {
   ~TcpFabric() override;
 
   // `addr` must be "127.0.0.1:<port>" (or "<host>:<port>" resolvable locally).
+  // Returns nullptr, leaving any existing node untouched, if `addr` is
+  // already registered (use restart() to revive a killed node) or its
+  // sockets cannot be set up.
   Runtime* add_node(const Addr& addr, std::shared_ptr<Service> svc) override;
 
   void kill(const Addr& addr) override;
@@ -89,7 +93,8 @@ class TcpFabric : public Fabric {
   Result<Message> call_sync(const Addr& dst, Message req,
                             uint64_t timeout_us = 2'000'000);
 
-  // Picks a free loopback port (best effort) for harnesses building addrs.
+  // Picks a free loopback port for harnesses building addrs. Never returns
+  // the same port twice in one process; 0 if no fresh port could be drawn.
   static int pick_port();
 
   int reactors_per_node() const { return opts_.reactors; }

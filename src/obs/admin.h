@@ -1,6 +1,6 @@
 // Fabric-level observability plumbing: the kStats/kTraceDump admin surface,
 // the per-dispatch server-span guard, outgoing context stamping, and the
-// periodic snapshot exporter. All three fabrics call these at their single
+// periodic snapshot exporter. Both fabrics call these at their single
 // choke points (deliver + call/send), so every node — controlet, datalet,
 // coordinator, DLM, shared log — is scrapable and traceable with no
 // per-service code.

@@ -7,22 +7,8 @@ namespace bespokv::sim {
 uint64_t EventQueue::schedule_at(uint64_t at_us, Task fn) {
   const uint64_t id = next_id_++;
   heap_.push(Event{std::max(at_us, now_), next_seq_++, id, std::move(fn)});
-  ++live_;
+  pending_.insert(id);
   return id;
-}
-
-void EventQueue::cancel(uint64_t id) {
-  cancelled_.push_back(id);
-  if (live_ > 0) --live_;
-}
-
-bool EventQueue::is_cancelled(uint64_t id) {
-  auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
-  if (it == cancelled_.end()) return false;
-  // Swap-erase: cancellation lists stay tiny (timers are mostly one-shot).
-  *it = cancelled_.back();
-  cancelled_.pop_back();
-  return true;
 }
 
 uint64_t EventQueue::run_until(uint64_t until_us) {
@@ -32,8 +18,7 @@ uint64_t EventQueue::run_until(uint64_t until_us) {
     if (top.at > until_us) break;
     Event ev = std::move(const_cast<Event&>(top));
     heap_.pop();
-    if (is_cancelled(ev.id)) continue;
-    --live_;
+    if (pending_.erase(ev.id) == 0) continue;  // cancelled
     now_ = ev.at;
     ev.fn();
     ++executed;

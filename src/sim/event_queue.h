@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <unordered_set>
 #include <vector>
 
 namespace bespokv::sim {
@@ -23,15 +24,17 @@ class EventQueue {
     return schedule_at(now_ + delay_us, std::move(fn));
   }
 
-  void cancel(uint64_t id);
+  // Drops a pending event. A no-op for an id that already fired or was
+  // already cancelled.
+  void cancel(uint64_t id) { pending_.erase(id); }
 
   // Runs events until the queue is empty or virtual time would pass
   // `until_us`. Returns the number of events executed.
   uint64_t run_until(uint64_t until_us);
   uint64_t run_all() { return run_until(UINT64_MAX); }
 
-  bool empty() const { return live_ == 0; }
-  size_t pending() const { return live_; }
+  bool empty() const { return pending_.empty(); }
+  size_t pending() const { return pending_.size(); }
 
  private:
   struct Event {
@@ -44,14 +47,13 @@ class EventQueue {
     }
   };
 
+  // Cancelled events stay in the heap and are skipped when popped: an event
+  // runs only if its id is still in pending_.
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap_;
-  std::vector<uint64_t> cancelled_;  // sorted ids are overkill; linear set
+  std::unordered_set<uint64_t> pending_;
   uint64_t now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t next_id_ = 1;
-  size_t live_ = 0;
-
-  bool is_cancelled(uint64_t id);
 };
 
 }  // namespace bespokv::sim

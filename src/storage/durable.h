@@ -9,7 +9,7 @@
 // acked-write loss the verify harness must catch.
 //
 // Threading: non-blocking mode (the deterministic sim) is single-threaded
-// per node. Blocking mode (thread/TCP fabrics, bench) serializes
+// per node. Blocking mode (TcpFabric, bench) serializes
 // append+apply under an internal mutex but waits for group commit *outside*
 // it, so concurrent writers batch behind one fdatasync.
 #pragma once

@@ -1,6 +1,6 @@
 // Standalone chaos driver for the nightly sweep (not a gtest binary):
 //
-//   chaos_driver --fabric=sim|thread|tcp --seed=N [--out=DIR] [--ops=K]
+//   chaos_driver --fabric=sim|tcp --seed=N [--out=DIR] [--ops=K]
 //                [--faultplan=FILE]
 //
 // Derives a FaultPlan from the seed (link drop/duplicate noise plus a
@@ -13,7 +13,7 @@
 //
 // On failure the driver writes the exact FaultPlan JSON and a per-node trace
 // dump into --out (uploaded as CI artifacts), so the run can be replayed:
-// deterministically on the sim fabric, statistically on the real-time ones.
+// deterministically on the sim fabric, statistically on TCP.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -27,7 +27,6 @@
 #include "src/common/json.h"
 #include "src/net/fault.h"
 #include "src/net/tcp_fabric.h"
-#include "src/net/thread_fabric.h"
 #include "src/obs/trace.h"
 #include "tests/sim_test_util.h"
 
@@ -70,7 +69,7 @@ bool parse_args(int argc, char** argv, Args* a) {
       return false;
     }
   }
-  return a->fabric == "sim" || a->fabric == "thread" || a->fabric == "tcp";
+  return a->fabric == "sim" || a->fabric == "tcp";
 }
 
 ClusterOptions chaos_cluster() {
@@ -222,9 +221,10 @@ int run_sim(const Args& args) {
   return bad == 0 ? 0 : 1;
 }
 
-// Fab is ThreadFabric or TcpFabric — call_sync is per-fabric, not on Fabric.
-template <typename Fab>
-int run_real(const Args& args, Fab& fab) {
+int run_tcp(const Args& args) {
+  TcpFabricOpts topts;
+  topts.reactors = args.reactors;
+  TcpFabric fab(topts);
   Cluster cluster(fab, chaos_cluster());
   cluster.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -260,7 +260,7 @@ int main(int argc, char** argv) {
   bespokv::Args args;
   if (!bespokv::parse_args(argc, argv, &args)) {
     std::fprintf(stderr,
-                 "usage: chaos_driver --fabric=sim|thread|tcp --seed=N "
+                 "usage: chaos_driver --fabric=sim|tcp --seed=N "
                  "[--out=DIR] [--ops=K] [--faultplan=FILE] "
                  "[--reactors=N] [--cores=N]\n");
     return 2;
@@ -270,18 +270,8 @@ int main(int argc, char** argv) {
                args.fabric.c_str(),
                static_cast<unsigned long long>(args.seed), args.ops,
                args.reactors, args.cores);
-  int rc = 0;
-  if (args.fabric == "sim") {
-    rc = bespokv::run_sim(args);
-  } else if (args.fabric == "thread") {
-    bespokv::ThreadFabric fab;
-    rc = bespokv::run_real(args, fab);
-  } else {
-    bespokv::TcpFabricOpts topts;
-    topts.reactors = args.reactors;
-    bespokv::TcpFabric fab(topts);
-    rc = bespokv::run_real(args, fab);
-  }
+  const int rc = args.fabric == "sim" ? bespokv::run_sim(args)
+                                      : bespokv::run_tcp(args);
   std::fprintf(stderr, "chaos_driver: %s\n", rc == 0 ? "PASS" : "FAIL");
   return rc;
 }

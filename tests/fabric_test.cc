@@ -1,16 +1,16 @@
-// ThreadFabric and TcpFabric tests: the same services and full clusters run
-// under real threads and real loopback sockets (framing, partial I/O,
-// peer-death detection), not just the DES.
+// TcpFabric tests: the same services and full clusters run under real
+// threads and real loopback sockets (framing, partial I/O, peer-death
+// detection, timers in real time), not just the DES.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 
 #include "src/client/client.h"
 #include "src/cluster/cluster.h"
 #include "src/datalet/locked.h"
 #include "src/datalet/service.h"
 #include "src/net/tcp_fabric.h"
-#include "src/net/thread_fabric.h"
 #include "src/obs/metrics.h"
 
 namespace bespokv {
@@ -27,114 +27,6 @@ class CounterService : public Service {
   std::atomic<uint64_t> handled{0};
 };
 
-// ------------------------------ ThreadFabric --------------------------------
-
-TEST(ThreadFabricTest, CallSyncRoundTrip) {
-  ThreadFabric fab;
-  auto svc = std::make_shared<CounterService>();
-  fab.add_node("svc", svc);
-  auto r = fab.call_sync("svc", Message::get("hello"));
-  ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_EQ(r.value().value, "hello");
-  EXPECT_EQ(svc->handled.load(), 1u);
-}
-
-TEST(ThreadFabricTest, ManyConcurrentExternalCalls) {
-  ThreadFabric fab;
-  auto svc = std::make_shared<CounterService>();
-  fab.add_node("svc", svc);
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&fab, &failures] {
-      for (int i = 0; i < 100; ++i) {
-        auto r = fab.call_sync("svc", Message::get("k"));
-        if (!r.ok()) ++failures;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(svc->handled.load(), 400u);
-}
-
-TEST(ThreadFabricTest, DeadNodeTimesOut) {
-  ThreadFabric fab;
-  fab.add_node("svc", std::make_shared<CounterService>());
-  fab.kill("svc");
-  auto r = fab.call_sync("svc", Message::get("k"), /*timeout_us=*/100'000);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), Code::kTimeout);
-}
-
-TEST(ThreadFabricTest, PartitionBlocksThenHeals) {
-  ThreadFabric fab;
-  auto svc = std::make_shared<CounterService>();
-  fab.add_node("svc", svc);
-  fab.partition("__external__", "svc", true);
-  auto r = fab.call_sync("svc", Message::get("k"), 100'000);
-  EXPECT_EQ(r.status().code(), Code::kTimeout);
-  fab.partition("__external__", "svc", false);
-  r = fab.call_sync("svc", Message::get("k"));
-  EXPECT_TRUE(r.ok());
-}
-
-TEST(ThreadFabricTest, TimersFireUnderRealTime) {
-  ThreadFabric fab;
-  std::atomic<int> fired{0};
-  Runtime* rt = fab.add_node("t", std::make_shared<LambdaService>(
-      [](Runtime&, const Addr&, Message, Replier r) {
-        r(Message::reply(Code::kOk));
-      }));
-  rt->post([rt, &fired] {
-    rt->set_timer(20'000, [&fired] { ++fired; });
-    rt->set_periodic(15'000, [&fired] { ++fired; });
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_GE(fired.load(), 3);
-}
-
-TEST(ThreadFabricTest, FullClusterPutGet) {
-  ThreadFabric fab;
-  ClusterOptions o;
-  o.topology = Topology::kMasterSlave;
-  o.consistency = Consistency::kEventual;
-  o.num_shards = 2;
-  Cluster cluster(fab, o);
-  cluster.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-
-  SyncKv kv([&fab](const Addr& a, Message m) { return fab.call_sync(a, std::move(m)); },
-            cluster.coordinator_addr());
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(kv.put("k" + std::to_string(i), "v" + std::to_string(i)).ok());
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  for (int i = 0; i < 30; ++i) {
-    auto r = kv.get("k" + std::to_string(i));
-    ASSERT_TRUE(r.ok()) << i;
-    EXPECT_EQ(r.value(), "v" + std::to_string(i));
-  }
-}
-
-TEST(ThreadFabricTest, FullClusterStrongChain) {
-  ThreadFabric fab;
-  ClusterOptions o;
-  o.topology = Topology::kMasterSlave;
-  o.consistency = Consistency::kStrong;
-  Cluster cluster(fab, o);
-  cluster.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  SyncKv kv([&fab](const Addr& a, Message m) { return fab.call_sync(a, std::move(m)); },
-            cluster.coordinator_addr());
-  ASSERT_TRUE(kv.put("k", "v").ok());
-  // Chain replication: the ack implies all replicas committed.
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_TRUE(cluster.datalet(0, r)->get("k").ok()) << r;
-  }
-  EXPECT_EQ(kv.get("k").value(), "v");
-}
-
 // ------------------------------- TcpFabric ----------------------------------
 
 TEST(TcpFabricTest, CallSyncOverRealSockets) {
@@ -145,6 +37,55 @@ TEST(TcpFabricTest, CallSyncOverRealSockets) {
   auto r = fab.call_sync(addr, Message::get("over-tcp"));
   ASSERT_TRUE(r.ok()) << r.status().to_string();
   EXPECT_EQ(r.value().value, "over-tcp");
+}
+
+TEST(TcpFabricTest, PickPortNeverRepeats) {
+  std::set<int> seen;
+  for (int i = 0; i < 2000; ++i) {
+    const int port = TcpFabric::pick_port();
+    ASSERT_GT(port, 0) << "draw " << i;
+    ASSERT_TRUE(seen.insert(port).second) << "port " << port << " drawn twice";
+  }
+}
+
+TEST(TcpFabricTest, AddNodeRefusesRegisteredAddress) {
+  TcpFabric fab;
+  auto first = std::make_shared<CounterService>();
+  auto second = std::make_shared<CounterService>();
+  const Addr addr = "127.0.0.1:" + std::to_string(TcpFabric::pick_port());
+  ASSERT_NE(fab.add_node(addr, first), nullptr);
+  EXPECT_EQ(fab.add_node(addr, second), nullptr);
+  for (int i = 0; i < 5; ++i) {
+    auto r = fab.call_sync(addr, Message::get("still-first"));
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+  }
+  EXPECT_EQ(first->handled.load(), 5u);
+  EXPECT_EQ(second->handled.load(), 0u);
+  // A killed node keeps its address: restart() revives it, add_node does not.
+  fab.kill(addr);
+  EXPECT_EQ(fab.add_node(addr, second), nullptr);
+  ASSERT_TRUE(fab.restart(addr));
+  ASSERT_TRUE(fab.call_sync(addr, Message::get("again")).ok());
+  EXPECT_EQ(first->handled.load(), 6u);
+}
+
+TEST(TcpFabricTest, TimersFireUnderRealTime) {
+  TcpFabric fab;
+  std::atomic<int> one_shot{0};
+  std::atomic<int> periodic{0};
+  const Addr addr = "127.0.0.1:" + std::to_string(TcpFabric::pick_port());
+  Runtime* rt = fab.add_node(addr, std::make_shared<LambdaService>(
+      [](Runtime&, const Addr&, Message, Replier r) {
+        r(Message::reply(Code::kOk));
+      }));
+  ASSERT_NE(rt, nullptr);
+  rt->post([rt, &one_shot, &periodic] {
+    rt->set_timer(20'000, [&one_shot] { ++one_shot; });
+    rt->set_periodic(15'000, [&periodic] { ++periodic; });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(one_shot.load(), 1);
+  EXPECT_GE(periodic.load(), 2);
 }
 
 TEST(TcpFabricTest, LargePayloadCrossesFraming) {
@@ -255,11 +196,38 @@ TEST(TcpFabricTest, FullClusterOverLoopback) {
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(kv.put("k" + std::to_string(i), "v").ok()) << i;
   }
+  // Chain replication: the ack implies all replicas committed.
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_TRUE(cluster.datalet(0, r)->get("k19").ok()) << r;
+  }
   for (int i = 0; i < 20; ++i) {
     EXPECT_TRUE(kv.get("k" + std::to_string(i)).ok()) << i;
   }
   auto missing = kv.get("zzz");
   EXPECT_EQ(missing.status().code(), Code::kNotFound);
+}
+
+TEST(TcpFabricTest, FullClusterTwoShardsEventual) {
+  TcpFabric fab;
+  ClusterOptions o;
+  o.topology = Topology::kMasterSlave;
+  o.consistency = Consistency::kEventual;
+  o.num_shards = 2;
+  Cluster cluster(fab, o);
+  cluster.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  SyncKv kv([&fab](const Addr& a, Message m) { return fab.call_sync(a, std::move(m)); },
+            cluster.coordinator_addr());
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(kv.put("k" + std::to_string(i), "v" + std::to_string(i)).ok()) << i;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int i = 0; i < 30; ++i) {
+    auto r = kv.get("k" + std::to_string(i));
+    ASSERT_TRUE(r.ok()) << i;
+    EXPECT_EQ(r.value(), "v" + std::to_string(i));
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // FaultInjector / FaultPlan tests: plan serialization, deterministic
 // decisions, and the per-fabric wiring — drop/delay/duplicate at each
-// fabric's send choke point, plus in-place node crash/restart on all three
-// fabrics (the same FaultPlan drives sim, thread and TCP runs).
+// fabric's send choke point, plus in-place node crash/restart on both
+// fabrics (the same FaultPlan drives sim and TCP runs).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 #include "src/net/fault.h"
 #include "src/net/sim_fabric.h"
 #include "src/net/tcp_fabric.h"
-#include "src/net/thread_fabric.h"
 #include "tests/sim_test_util.h"
 
 namespace bespokv {
@@ -329,54 +328,7 @@ TEST(SimFaultTest, ScheduledNodeFaultsCrashAndRestart) {
   EXPECT_EQ(f.svc->handled.load(), 1u);  // only the post-restart probe landed
 }
 
-// ----------------------- Thread / TCP fabric wiring -------------------------
-
-TEST(ThreadFaultTest, DropsCauseTimeoutAndHealAfterClearing) {
-  ThreadFabric fab;
-  auto svc = std::make_shared<CounterService>();
-  fab.add_node("svc", svc);
-  FaultPlan p;
-  p.links.push_back(LinkFault{"*", "svc", 1.0, 0, 0, 0, 0, 0, 0});
-  fab.set_fault_injector(std::make_shared<FaultInjector>(p));
-
-  auto r = fab.call_sync("svc", Message::get("k"), 150'000);
-  EXPECT_EQ(r.status().code(), Code::kTimeout);
-  EXPECT_EQ(svc->handled.load(), 0u);
-
-  fab.set_fault_injector(nullptr);
-  r = fab.call_sync("svc", Message::get("k"));
-  EXPECT_TRUE(r.ok());
-}
-
-TEST(ThreadFaultTest, DuplicateDeliversTwice) {
-  ThreadFabric fab;
-  auto svc = std::make_shared<CounterService>();
-  fab.add_node("svc", svc);
-  auto sender = fab.add_node("sender", null_service());
-  FaultPlan p;
-  p.links.push_back(LinkFault{"sender", "svc", 0, 1.0, 0, 0, 0, 0, 0});
-  fab.set_fault_injector(std::make_shared<FaultInjector>(p));
-
-  sender->post([sender] { sender->send("svc", Message::get("k")); });
-  for (int i = 0; i < 100 && svc->handled.load() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(svc->handled.load(), 2u);
-}
-
-TEST(ThreadFaultTest, RestartServesAgain) {
-  ThreadFabric fab;
-  auto svc = std::make_shared<CounterService>();
-  fab.add_node("svc", svc);
-  ASSERT_TRUE(fab.call_sync("svc", Message::get("k")).ok());
-  fab.kill("svc");
-  EXPECT_EQ(fab.call_sync("svc", Message::get("k"), 100'000).status().code(),
-            Code::kTimeout);
-  ASSERT_TRUE(fab.restart("svc"));
-  auto r = fab.call_sync("svc", Message::get("k"));
-  ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_EQ(svc->handled.load(), 2u);
-}
+// --------------------------- TCP fabric wiring -----------------------------
 
 TEST(TcpFaultTest, DropsCauseTimeout) {
   TcpFabric fab;
@@ -394,6 +346,26 @@ TEST(TcpFaultTest, DropsCauseTimeout) {
   fab.set_fault_injector(nullptr);
   r = fab.call_sync(addr, Message::get("k"));
   EXPECT_TRUE(r.ok()) << r.status().to_string();
+}
+
+TEST(TcpFaultTest, DuplicateDeliversTwice) {
+  TcpFabric fab;
+  auto svc = std::make_shared<CounterService>();
+  const Addr addr = "127.0.0.1:" + std::to_string(TcpFabric::pick_port());
+  const Addr sender_addr = "127.0.0.1:" + std::to_string(TcpFabric::pick_port());
+  fab.add_node(addr, svc);
+  Runtime* sender = fab.add_node(sender_addr, null_service());
+  ASSERT_NE(sender, nullptr);
+  FaultPlan p;
+  p.links.push_back(LinkFault{sender_addr, addr, 0, 1.0, 0, 0, 0, 0, 0});
+  fab.set_fault_injector(std::make_shared<FaultInjector>(p));
+
+  sender->post([sender, addr] { sender->send(addr, Message::get("k")); });
+  for (int i = 0; i < 100 && svc->handled.load() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(svc->handled.load(), 2u);
 }
 
 TEST(TcpFaultTest, RestartRebindsAndServes) {

@@ -14,7 +14,6 @@
 #include "src/dlm/dlm.h"
 #include "src/net/sim_fabric.h"
 #include "src/net/tcp_fabric.h"
-#include "src/net/thread_fabric.h"
 #include "src/sharedlog/sharedlog.h"
 #include "tests/sim_test_util.h"
 
@@ -143,21 +142,6 @@ TEST(EpochFence, SharedLogRejectsStaleAppendsOnSim) {
   EXPECT_EQ(log->fence_rejects(), 2u);
 }
 
-TEST(EpochFence, DlmAndLogRejectStaleEpochsOnThreadFabric) {
-  ThreadFabric fab;
-  auto dlm = std::make_shared<DlmService>();
-  auto log = std::make_shared<SharedLogService>();
-  fab.add_node("dlm", dlm);
-  fab.add_node("log", log);
-  CallFn call = [&](const Addr& a, Message m) {
-    return fab.call_sync(a, std::move(m), 2'000'000);
-  };
-  probe_sink(call, "dlm", /*dlm=*/true);
-  probe_sink(call, "log", /*dlm=*/false);
-  EXPECT_EQ(dlm->fence_rejects(), 2u);
-  EXPECT_EQ(log->fence_rejects(), 2u);
-}
-
 TEST(EpochFence, DlmAndLogRejectStaleEpochsOnTcpFabric) {
   TcpFabric fab;
   auto dlm = std::make_shared<DlmService>();
@@ -235,16 +219,6 @@ TEST(EpochFence, ChainWriteFromDeposedHeadDiesAtReplicaOnSim) {
   testing::SimEnv env(chain_cluster());
   probe_chain_sink(env.cluster, [&](const Addr& a, Message m) {
     return env.call(a, std::move(m));
-  });
-}
-
-TEST(EpochFence, ChainWriteFromDeposedHeadDiesAtReplicaOnThreadFabric) {
-  ThreadFabric fab;
-  Cluster cluster(fab, chain_cluster());
-  cluster.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  probe_chain_sink(cluster, [&](const Addr& a, Message m) {
-    return fab.call_sync(a, std::move(m), 2'000'000);
   });
 }
 

@@ -37,6 +37,29 @@ TEST(EventQueueTest, CancelSuppressesEvent) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueueTest, CancelOfFiredIdLeavesPendingUnchanged) {
+  sim::EventQueue q;
+  const uint64_t fired = q.schedule_at(10, [] {});
+  q.schedule_at(20, [] {});
+  q.run_until(15);
+  ASSERT_EQ(q.pending(), 1u);
+  q.cancel(fired);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.run_all(), 1u);  // the later event still runs
+}
+
+TEST(EventQueueTest, CancelTwiceDecrementsOnce) {
+  sim::EventQueue q;
+  const uint64_t id = q.schedule_at(10, [] {});
+  q.schedule_at(20, [] {});
+  q.cancel(id);
+  q.cancel(id);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.run_all(), 1u);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueueTest, RunUntilStopsAtBoundary) {
   sim::EventQueue q;
   int count = 0;
